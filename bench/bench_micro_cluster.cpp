@@ -4,9 +4,11 @@
 #include <benchmark/benchmark.h>
 
 #include "cluster/dbscan.hpp"
+#include "cluster/distance.hpp"
 #include "cluster/kmeans.hpp"
 #include "core/strategies.hpp"
 #include "incentive/contribution.hpp"
+#include "support/parallel.hpp"
 #include "support/rng.hpp"
 
 namespace {
@@ -29,6 +31,26 @@ std::vector<std::vector<float>> gradient_like_points(std::size_t n,
     }
     return points;
 }
+
+/// Algorithm 2's dense distance build at the paper's model shape: n
+/// gradients of d = 7850 (the 784-feature logistic model), on one thread
+/// so the row reports kernel throughput, not the host's core count.
+/// range(0) = n, range(1) = metric (0 cosine, 1 Euclidean).
+void BM_DistanceMatrix(benchmark::State& state) {
+    const auto n = static_cast<std::size_t>(state.range(0));
+    const auto metric = static_cast<cluster::Metric>(state.range(1));
+    const auto points = gradient_like_points(n, 7850);
+    support::ThreadPool one(1);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(cluster::DistanceMatrix(metric, points, one));
+    state.SetLabel(metric == cluster::Metric::kCosine ? "cosine"
+                                                      : "euclidean");
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(n * (n - 1) / 2));
+}
+BENCHMARK(BM_DistanceMatrix)
+    ->Args({64, 0})->Args({64, 1})->Args({256, 0})->Args({256, 1})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_Dbscan(benchmark::State& state) {
     const auto points =

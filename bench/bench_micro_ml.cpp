@@ -4,6 +4,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <span>
+#include <string>
+#include <vector>
+
 #include "core/strategies.hpp"
 #include "fl/aggregation.hpp"
 #include "ml/optimizer.hpp"
@@ -107,6 +111,40 @@ void BM_KernelGemv(benchmark::State& state) {
 }
 BENCHMARK(BM_KernelGemv)
     ->Args({784, 0})->Args({784, 1})->Args({7850, 0})->Args({7850, 1});
+
+void BM_KernelForwardBatch(benchmark::State& state) {
+    // One SGD batch's logistic forward: B = 10 samples against 10 x 784.
+    // range(0): 0 = one gemv per sample, 1 = the batch forward tile.
+    const KernelModeRow row(state);
+    if (!row.ok) return;
+    const bool tiled = state.range(0) != 0;
+    const std::size_t batch = 10;
+    const std::size_t classes = 10;
+    const std::size_t dim = 784;
+    const auto a = kernel_operand(classes * dim, 14);
+    const auto bias = kernel_operand(classes, 15);
+    const auto features = kernel_operand(batch * dim, 16);
+    std::vector<const float*> xs(batch);
+    for (std::size_t s = 0; s < batch; ++s) xs[s] = features.data() + s * dim;
+    std::vector<float> out(batch * classes);
+    for (auto _ : state) {
+        if (tiled) {
+            support::gemv_batch(a, classes, dim, xs, bias, out);
+        } else {
+            for (std::size_t s = 0; s < batch; ++s)
+                support::gemv(a, classes, dim, {xs[s], dim}, bias,
+                              std::span<float>(out).subspan(s * classes,
+                                                            classes));
+        }
+        benchmark::DoNotOptimize(out.data());
+    }
+    state.SetLabel(std::string(row.simd_row ? "simd" : "scalar") +
+                   (tiled ? "/tile" : "/per-sample"));
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(batch));
+}
+BENCHMARK(BM_KernelForwardBatch)
+    ->Args({0, 0})->Args({1, 0})->Args({0, 1})->Args({1, 1});
 
 void BM_KernelSketch(benchmark::State& state) {
     // The GradientIndex build step: project 64 gradient rows of `dim`

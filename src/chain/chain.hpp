@@ -43,16 +43,25 @@ public:
     explicit Blockchain(std::uint64_t chain_id = 0,
                         const crypto::KeyStore* keys = nullptr);
 
+    /// A copy owns its own blocks; its best chain points into them.
+    Blockchain(const Blockchain& other);
+    Blockchain& operator=(const Blockchain& other);
+    Blockchain(Blockchain&&) noexcept = default;
+    Blockchain& operator=(Blockchain&&) noexcept = default;
+    ~Blockchain() = default;
+
     /// Validates and stores a block.  Accepts side branches and reorganizes
-    /// to the heaviest (longest; ties keep the incumbent) branch.
-    BlockVerdict submit(const Block& block);
+    /// to the heaviest (longest; ties keep the incumbent) branch.  Taken
+    /// by value: the ledger keeps exactly one copy, moved in when the
+    /// caller passes an rvalue.
+    BlockVerdict submit(Block block);
 
     /// Whether PoW is checked on submit (disable for tightly-coupled
     /// simulations that model mining time stochastically).
     void set_check_pow(bool check) noexcept { check_pow_ = check; }
 
     [[nodiscard]] const Block& genesis() const { return at(0); }
-    [[nodiscard]] const Block& tip() const { return best_chain_.back(); }
+    [[nodiscard]] const Block& tip() const { return *best_chain_.back(); }
     /// Number of blocks on the best chain (genesis included).
     [[nodiscard]] std::size_t height() const noexcept {
         return best_chain_.size();
@@ -87,7 +96,10 @@ private:
     void rebuild_best_chain(const crypto::Digest& new_tip_hash);
 
     std::map<std::string, StoredBlock> blocks_by_hash_;  // key: hex digest
-    std::vector<Block> best_chain_;
+    /// The best chain, genesis first, as pointers into blocks_by_hash_'s
+    /// nodes (std::map nodes never move, and a moved map keeps them), so
+    /// every block is stored once.
+    std::vector<const Block*> best_chain_;
     const crypto::KeyStore* keys_;
     bool check_pow_ = true;
     std::size_t reorgs_ = 0;

@@ -33,11 +33,11 @@ BlockVerdict ConsensusSim::broadcast(std::size_t origin, const Block& block,
 
 void ConsensusSim::advance_to(double time) {
     while (!queue_.empty() && queue_.begin()->first.first <= time) {
-        const Delivery delivery = std::move(queue_.begin()->second);
+        Delivery delivery = std::move(queue_.begin()->second);
         queue_.erase(queue_.begin());
         // Replicas may reject duplicates or out-of-order parents; rejection
         // is part of the protocol, not an error.
-        (void)replicas_.at(delivery.target).submit(delivery.block);
+        (void)replicas_.at(delivery.target).submit(std::move(delivery.block));
     }
 }
 

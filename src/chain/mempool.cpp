@@ -27,22 +27,10 @@ std::vector<Transaction> Mempool::pack_block() {
 }
 
 std::size_t Mempool::blocks_to_drain() const {
-    if (queue_.empty()) return 0;
     // Simulate the FIFO packer without consuming the queue.
-    std::size_t blocks = 1;
-    std::size_t used = 0;
-    bool block_has_tx = false;
-    for (const auto& tx : queue_) {
-        const std::size_t tx_bytes = tx.size_bytes();
-        if (block_has_tx && used + tx_bytes > max_block_bytes_) {
-            ++blocks;
-            used = 0;
-            block_has_tx = false;
-        }
-        used += tx_bytes;
-        block_has_tx = true;
-    }
-    return blocks;
+    BlockCounter counter(max_block_bytes_);
+    for (const auto& tx : queue_) counter.add(tx.size_bytes());
+    return counter.blocks();
 }
 
 void Mempool::clear() noexcept {

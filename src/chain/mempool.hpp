@@ -13,6 +13,29 @@
 
 namespace fairbfl::chain {
 
+/// Counts the blocks the FIFO packer fills from transactions fed in
+/// order, by size alone: a transaction that does not fit the open block
+/// starts the next one, and a block always takes at least one.
+class BlockCounter {
+public:
+    explicit BlockCounter(std::size_t max_block_bytes) noexcept
+        : max_block_bytes_(max_block_bytes) {}
+
+    void add(std::size_t tx_bytes) noexcept {
+        if (blocks_ == 0 || used_ + tx_bytes > max_block_bytes_) {
+            ++blocks_;
+            used_ = 0;
+        }
+        used_ += tx_bytes;
+    }
+    [[nodiscard]] std::size_t blocks() const noexcept { return blocks_; }
+
+private:
+    std::size_t max_block_bytes_;
+    std::size_t used_ = 0;
+    std::size_t blocks_ = 0;
+};
+
 class Mempool {
 public:
     /// `max_block_bytes` caps the transaction bytes a single block may pack.

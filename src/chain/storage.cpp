@@ -52,7 +52,7 @@ std::optional<Blockchain> import_chain(std::span<const std::uint8_t> data,
     // The exported genesis must equal the deterministic genesis for the id.
     if (!(blocks.front() == chain.genesis())) return std::nullopt;
     for (std::size_t i = 1; i < blocks.size(); ++i) {
-        const BlockVerdict verdict = chain.submit(blocks[i]);
+        const BlockVerdict verdict = chain.submit(std::move(blocks[i]));
         if (verdict != BlockVerdict::kAccepted) return std::nullopt;
     }
     return chain;

@@ -29,9 +29,12 @@ enum class Metric : std::uint8_t {
 
 /// Symmetric n x n pairwise distance matrix (row-major, zero diagonal).
 ///
-/// Construction fans the row range out over the thread pool; every entry
-/// is computed independently and written exactly once, so the values are
-/// identical under any thread count.  Under the cosine metric the per-point
+/// Construction fans tile rows out over the thread pool: each task takes
+/// kTileRows points and runs the kernel table's pair tiles across the
+/// rest of its triangle, so a point's row is streamed once per tile, not
+/// once per pair.  Every tile entry has the bits of the per-pair kernel
+/// and is written exactly once, so the values are identical under any
+/// thread count and any tile shape.  Under the cosine metric the per-point
 /// L2 norms are computed once and cached (one dot per pair instead of
 /// three), bit-identical to pairwise cosine_distance.  Under the Euclidean
 /// metric the blocked kernel is used: entries may differ from the exact

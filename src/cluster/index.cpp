@@ -126,8 +126,8 @@ RandomProjectionIndex::RandomProjectionIndex(
         return;
     }
     sketch_dims_ = k;
-    projection_ = support::gaussian_projection(dim, k, params.seed);
-    sketches_ = support::project_rows(projection_, points, pool);
+    projection_ = support::shared_gaussian_projection(dim, k, params.seed);
+    sketches_ = support::project_rows(*projection_, points, pool);
     norms_.resize(n_);
     for (std::size_t i = 0; i < n_; ++i) norms_[i] = sketch_norm(sketches_[i]);
     sort_by_norm();
@@ -293,7 +293,7 @@ std::size_t RandomProjectionIndex::storage_bytes() const noexcept {
                sizeof(double);
     return n_ * sketch_dims_ * sizeof(float) + norms_.size() * sizeof(double) +
            norm_order_.size() * sizeof(std::size_t) +
-           projection_.rows.size() * sizeof(float);
+           (projection_ ? projection_->rows.size() * sizeof(float) : 0);
 }
 
 bool RandomProjectionIndex::update(std::span<const std::vector<float>> points,
@@ -301,13 +301,13 @@ bool RandomProjectionIndex::update(std::span<const std::vector<float>> points,
                                    support::ThreadPool& pool) {
     if (fallback_ || n_ == 0) return false;
     if (points.size() != n_ || moved.size() != n_) return false;
-    if (points[0].size() != projection_.in_dim) return false;
+    if (points[0].size() != projection_->in_dim) return false;
     support::parallel_for(
         0, n_,
         [&](std::size_t i) {
             if (moved[i] == 0) return;
-            support::gemv(projection_.rows, projection_.out_dim,
-                          projection_.in_dim, points[i], {}, sketches_[i]);
+            support::gemv(projection_->rows, projection_->out_dim,
+                          projection_->in_dim, points[i], {}, sketches_[i]);
             norms_[i] = sketch_norm(sketches_[i]);
         },
         pool);

@@ -375,7 +375,8 @@ private:
     std::vector<std::vector<float>> sketches_;  ///< n x k sketch rows
     std::vector<double> norms_;        ///< sketch L2 norms (band + cosine)
     std::vector<std::size_t> norm_order_;  ///< point ids ascending by norm
-    support::ProjectionMatrix projection_;  ///< cached for update()
+    /// Shared per (d, k, seed) across builds; kept for update().
+    std::shared_ptr<const support::ProjectionMatrix> projection_;
     DistanceMatrix dense_;             ///< break-even fallback storage
 };
 

@@ -71,7 +71,7 @@ BlockchainRoundRecord BlockchainBaseline::run_round() {
         block.header.timestamp_ms = round * 1000 + b;
         block.transactions = mempool_.pack_block();
         block.seal_transactions();
-        (void)chain_.submit(block);
+        (void)chain_.submit(std::move(block));
     }
     record.mempool_backlog = mempool_.size();
     return record;

@@ -383,9 +383,10 @@ void FairBfl::round_body(std::uint64_t round, BflRoundRecord& record) {
         if (config_.record_local_gradients) {
             // Over-capacity content splits across multiple sequential
             // blocks (queuing), and asynchronous mining may fork.
-            chain::Mempool pool(config_.delay.max_block_bytes);
-            pool.add_all(block.transactions);
-            record.blocks_this_round = pool.blocks_to_drain();
+            chain::BlockCounter counter(config_.delay.max_block_bytes);
+            for (const auto& tx : block.transactions)
+                counter.add(tx.size_bytes());
+            record.blocks_this_round = counter.blocks();
         } else {
             record.blocks_this_round = 1;
         }
@@ -396,7 +397,7 @@ void FairBfl::round_body(std::uint64_t round, BflRoundRecord& record) {
         record.delay.t_bl = mined.seconds;
         record.forks_this_round = mined.forks;
 
-        const chain::BlockVerdict verdict = chain_.submit(block);
+        const chain::BlockVerdict verdict = chain_.submit(std::move(block));
         if (verdict != chain::BlockVerdict::kAccepted) {
             FAIRBFL_LOG_ERROR("round %llu: block rejected (%s)",
                               static_cast<unsigned long long>(round),

@@ -108,7 +108,7 @@ VanillaRoundRecord VanillaBfl::run_round() {
         block.header.timestamp_ms = round * 1000 + b;
         block.transactions = mempool_.pack_block();
         block.seal_transactions();
-        (void)chain_.submit(block);
+        (void)chain_.submit(std::move(block));
     }
 
     // Workers read the chain and compute the global update themselves

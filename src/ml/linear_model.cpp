@@ -2,11 +2,13 @@
 //
 // Parameter layout: [ W row-major (classes x dim) | b (classes) ].
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
 #include "ml/loss.hpp"
 #include "ml/model.hpp"
+#include "support/simd.hpp"
 #include "support/vecmath.hpp"
 
 namespace fairbfl::ml {
@@ -71,26 +73,40 @@ public:
         return loss;
     }
 
-    /// Batched path: blocked X·Wᵀ forward (support::gemv) and dlogitsᵀ·X
-    /// outer-accumulate backward over packed rows.  Per-sample accumulation
-    /// order matches the reference loop, so results are bit-identical.
+    /// Batched path: the whole batch's X·Wᵀ forward first
+    /// (support::gemv_batch; w does not change inside a batch), then the
+    /// per-sample dlogitsᵀ·X outer-accumulate backward over packed rows.
+    /// Per-sample accumulation order matches the reference loop, so
+    /// results are bit-identical.
     double loss_and_gradient_batch(std::span<const float> params,
                                    const PackedBatch& data,
                                    std::span<const std::size_t> rows,
                                    TrainWorkspace& ws,
                                    std::span<float> grad) const override {
         if (rows.empty()) return 0.0;
-        const auto logits = TrainWorkspace::ensure(ws.logits, classes_);
+        const auto logits =
+            TrainWorkspace::ensure(ws.logits, rows.size() * classes_);
         const auto dlogits = TrainWorkspace::ensure(ws.dlogits, classes_);
         const auto w = params.first(classes_ * dim_);
         const auto bias = params.subspan(classes_ * dim_, classes_);
         const auto grad_w = grad.first(classes_ * dim_);
         const float inv_n = 1.0F / static_cast<float>(rows.size());
+        constexpr std::size_t kGroup = support::simd::kTileCols;
+        for (std::size_t s = 0; s < rows.size(); s += kGroup) {
+            const std::size_t count = std::min(kGroup, rows.size() - s);
+            const float* xs[kGroup];
+            for (std::size_t k = 0; k < count; ++k)
+                xs[k] = data.row(rows[s + k]).data();
+            support::gemv_batch(w, classes_, dim_, {xs, count}, bias,
+                                logits.subspan(s * classes_));
+        }
         double loss_sum = 0.0;
-        for (const std::size_t r : rows) {
+        for (std::size_t s = 0; s < rows.size(); ++s) {
+            const std::size_t r = rows[s];
             const auto x = data.row(r);
-            support::gemv(w, classes_, dim_, x, bias, logits);
-            loss_sum += softmax_xent_backward(logits, data.label(r), dlogits);
+            loss_sum += softmax_xent_backward(
+                logits.subspan(s * classes_, classes_), data.label(r),
+                dlogits);
             for (std::size_t c = 0; c < classes_; ++c) dlogits[c] *= inv_n;
             support::outer_accumulate(dlogits, x, classes_, dim_, grad_w);
             for (std::size_t c = 0; c < classes_; ++c)

@@ -6,6 +6,10 @@
 #include <thread>
 #include <vector>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 #include "support/sync.hpp"
 
 namespace fairbfl::support {
@@ -170,11 +174,23 @@ void ThreadPool::Impl::worker_loop(unsigned index) {
     }
 }
 
-ThreadPool::ThreadPool(unsigned threads) {
-    if (threads == 0) {
-        threads = std::thread::hardware_concurrency();
-        if (threads == 0) threads = 1;
+unsigned default_thread_count() noexcept {
+#if defined(__linux__)
+    // The affinity mask is what `taskset` and container CPU sets restrict;
+    // hardware_concurrency() counts every CPU of the machine.
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+        const int count = CPU_COUNT(&set);
+        if (count > 0) return static_cast<unsigned>(count);
     }
+#endif
+    const unsigned hardware = std::thread::hardware_concurrency();
+    return hardware == 0 ? 1 : hardware;
+}
+
+ThreadPool::ThreadPool(unsigned threads) {
+    if (threads == 0) threads = default_thread_count();
     n_threads_ = threads;
     impl_ = new Impl(threads);
     // Queue 0 is the external inbox; workers own queues 1..n-1.

@@ -12,6 +12,12 @@
 
 namespace fairbfl::support {
 
+/// Threads a default-sized pool (ThreadPool(0), ThreadPool::global())
+/// gets: the CPUs in this process's affinity mask where the platform
+/// reports one (Linux sched_getaffinity), else
+/// std::thread::hardware_concurrency().  Never 0.
+[[nodiscard]] unsigned default_thread_count() noexcept;
+
 /// A fixed-size pool of worker threads with a fork/join `run` primitive on
 /// top of a work-stealing scheduler.  Construction spawns the workers
 /// once; destruction joins them.  Each worker owns a deque: it pushes and
@@ -21,7 +27,7 @@ namespace fairbfl::support {
 /// of degrading to the calling thread.
 class ThreadPool {
 public:
-    /// `threads == 0` selects std::thread::hardware_concurrency().
+    /// `threads == 0` selects default_thread_count().
     explicit ThreadPool(unsigned threads = 0);
     ~ThreadPool();
 

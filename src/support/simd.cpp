@@ -194,6 +194,9 @@ constexpr KernelTable kScalarTable = {
     scalar_gemv_transpose_accumulate,
     scalar_outer_accumulate,
     scalar_dot_and_norm,
+    detail::pairwise_tile<scalar_dot>,
+    detail::pairwise_tile<scalar_squared_distance_blocked>,
+    detail::gemv_per_sample<scalar_gemv>,
     "scalar",
 };
 
@@ -213,7 +216,7 @@ const KernelTable* resolve(Mode mode) noexcept {
         const KernelTable* avx2 = detail::avx2_table();
         if (avx2 != nullptr) return avx2;
     }
-    return &kScalarTable;
+    return &detail::pinned_table();
 }
 
 void publish(const KernelTable* table) noexcept {
@@ -245,6 +248,14 @@ const KernelTable* resolve_from_env() noexcept {
 }
 
 }  // namespace
+
+bool detail::cpu_supports_avx2() noexcept {
+#if defined(__x86_64__) || defined(__i386__)
+    return __builtin_cpu_supports("avx2");
+#else
+    return false;
+#endif
+}
 
 bool cpu_supports_avx2_fma() noexcept {
 #if defined(__x86_64__) || defined(__i386__)
@@ -290,6 +301,15 @@ const char* active_name() noexcept { return active().name; }
 
 namespace detail {
 const KernelTable& scalar_table() noexcept { return kScalarTable; }
+
+const KernelTable& pinned_table() noexcept {
+    static const KernelTable table = [] {
+        KernelTable pinned = kScalarTable;
+        if (cpu_supports_avx2()) (void)install_exact_avx2_tiles(pinned);
+        return pinned;
+    }();
+    return table;
+}
 }  // namespace detail
 
 }  // namespace fairbfl::support::simd

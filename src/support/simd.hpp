@@ -10,10 +10,18 @@
 // fast path cannot hide behind the bit-pin convention.  Instead the two
 // live side by side in a function-pointer table:
 //
-//   * "scalar" -- the pinned reference kernels, byte-for-byte the loops
-//     that produced every committed fixed-seed series.  The default: a
+//   * "scalar" -- the pinned reference kernels, byte-for-byte the results
+//     of the loops that produced every committed fixed-seed series.  The default: a
 //     process that never opts in behaves exactly like the pre-dispatch
 //     build on every ISA.
+//     "Pinned" constrains rounding, not vector width: any implementation
+//     that performs each pair's or row's additions in the reference order,
+//     with separately rounded multiplies and adds (no FMA, no
+//     reassociation), reproduces these bits.  The tile entries below use
+//     that freedom: on a CPU with AVX2 the scalar table's tiles are the
+//     4-lane double kernels of src/support/simd_tiles.cpp (packed mul then
+//     add), elsewhere they loop over the per-pair kernels.  Both give every
+//     pair the per-pair kernel's bits.
 //   * "avx2"   -- AVX2+FMA variants (src/support/simd_avx2.cpp, compiled
 //     with -mavx2 -mfma in its own TU).  Reduction kernels keep double
 //     accumulation (floats widened before the FMA) but run four doubles
@@ -36,6 +44,11 @@
 #include <cstddef>
 
 namespace fairbfl::support::simd {
+
+/// Tile shape bound: the pair tiles take at most kTileRows x kTileCols
+/// pairs and the batch forward at most kTileCols samples per call.
+inline constexpr std::size_t kTileRows = 4;
+inline constexpr std::size_t kTileCols = 4;
 
 /// Requested dispatch policy (what the user asked for, not necessarily
 /// what the CPU can serve -- see active()).
@@ -76,6 +89,25 @@ struct KernelTable {
     /// *x_norm2_out = dot(x, x) in one traversal of x.
     void (*dot_and_norm)(const float* x, const float* y, std::size_t n,
                          double* dot_out, double* x_norm2_out);
+    /// Pair tile of the strict dot: out[r * ny + c] = dot(xs[r], ys[c], n)
+    /// for r < nx <= kTileRows, c < ny <= kTileCols, every entry the bits
+    /// of this table's `dot`.  Rows are streamed once per tile instead of
+    /// once per pair.
+    void (*dot_tile)(const float* const* xs, std::size_t nx,
+                     const float* const* ys, std::size_t ny, std::size_t n,
+                     double* out);
+    /// Pair tile of the blocked squared distance, same layout and the bits
+    /// of this table's `squared_distance_blocked` for every pair.
+    void (*squared_distance_blocked_tile)(const float* const* xs,
+                                          std::size_t nx,
+                                          const float* const* ys,
+                                          std::size_t ny, std::size_t n,
+                                          double* out);
+    /// Batch forward: for each of nx <= kTileCols samples, out + s * rows
+    /// receives exactly this table's gemv(a, rows, cols, xs[s], bias).
+    void (*gemv_batch)(const float* a, std::size_t rows, std::size_t cols,
+                       const float* const* xs, std::size_t nx,
+                       const float* bias, float* out);
     /// Diagnostic name ("scalar", "avx2") -- perf JSON `kernels` key.
     const char* name;
 };
@@ -117,9 +149,42 @@ namespace detail {
 /// -mavx2 -mfma TU (non-x86 targets, compilers without the flags).  Lives
 /// in simd_avx2.cpp so only that TU needs the wide-ISA flags.
 [[nodiscard]] const KernelTable* avx2_table() noexcept;
-/// The pinned scalar table (always available; the reference the parity
-/// harness measures divergence against).
+/// The pinned scalar table with tiles that loop over the per-pair
+/// kernels (always available; the reference the parity harness measures
+/// divergence against).
 [[nodiscard]] const KernelTable& scalar_table() noexcept;
+/// The pinned table "scalar" dispatch serves: scalar_table() with the
+/// AVX2 exact tiles installed when this binary and CPU can run them, else
+/// scalar_table() itself.  Every entry has scalar_table()'s bits.
+[[nodiscard]] const KernelTable& pinned_table() noexcept;
+/// Overwrites `table`'s three tile entries with the AVX2 kernels that
+/// reproduce the scalar per-pair and gemv bits; returns false and leaves
+/// `table` alone when this binary was built without simd_tiles.cpp's
+/// AVX2 flags.  The caller checks the CPU.
+bool install_exact_avx2_tiles(KernelTable& table) noexcept;
+/// True when this CPU can run simd_tiles.cpp (always false off x86).
+[[nodiscard]] bool cpu_supports_avx2() noexcept;
+
+/// Tile entry that loops over a per-pair kernel: the fallback tiles of
+/// every table, and the reference the exact tiles are pinned against.
+template <double (*Pair)(const float*, const float*, std::size_t)>
+void pairwise_tile(const float* const* xs, std::size_t nx,
+                   const float* const* ys, std::size_t ny, std::size_t n,
+                   double* out) {
+    for (std::size_t r = 0; r < nx; ++r)
+        for (std::size_t c = 0; c < ny; ++c)
+            out[r * ny + c] = Pair(xs[r], ys[c], n);
+}
+
+/// Batch forward entry that calls a gemv kernel once per sample.
+template <void (*Gemv)(const float*, std::size_t, std::size_t, const float*,
+                       const float*, float*)>
+void gemv_per_sample(const float* a, std::size_t rows, std::size_t cols,
+                     const float* const* xs, std::size_t nx,
+                     const float* bias, float* out) {
+    for (std::size_t s = 0; s < nx; ++s)
+        Gemv(a, rows, cols, xs[s], bias, out + s * rows);
+}
 }  // namespace detail
 
 }  // namespace fairbfl::support::simd

@@ -190,6 +190,11 @@ constexpr KernelTable kAvx2Table = {
     avx2_gemv_transpose_accumulate,
     avx2_outer_accumulate,
     avx2_dot_and_norm,
+    // The tiles loop over this table's own kernels, so every pair keeps
+    // the tolerance-pinned per-pair bits.
+    detail::pairwise_tile<avx2_dot>,
+    detail::pairwise_tile<avx2_squared_distance>,
+    detail::gemv_per_sample<avx2_gemv>,
     "avx2",
 };
 

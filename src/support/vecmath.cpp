@@ -1,5 +1,6 @@
 #include "support/vecmath.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -76,6 +77,26 @@ void gemv(std::span<const float> a, std::size_t rows, std::size_t cols,
                         bias.empty() ? nullptr : bias.data(), out.data());
 }
 
+void gemv_batch(std::span<const float> a, std::size_t rows, std::size_t cols,
+                std::span<const float* const> xs, std::span<const float> bias,
+                std::span<float> out) noexcept {
+    assert(a.size() == rows * cols);
+    assert(out.size() >= xs.size() * rows);
+    assert(bias.empty() || bias.size() >= rows);
+    const simd::KernelTable& kernels = simd::active();
+    const float* b = bias.empty() ? nullptr : bias.data();
+    for (std::size_t s = 0; s < xs.size(); s += simd::kTileCols) {
+        const std::size_t count = std::min(simd::kTileCols, xs.size() - s);
+        float* o = out.data() + s * rows;
+        if (count == 1) {
+            kernels.gemv(a.data(), rows, cols, xs[s], b, o);
+        } else {
+            kernels.gemv_batch(a.data(), rows, cols, xs.data() + s, count, b,
+                               o);
+        }
+    }
+}
+
 void gemv_transpose_accumulate(std::span<const float> a, std::size_t rows,
                                std::size_t cols, std::span<const float> d,
                                std::span<float> out) noexcept {
@@ -119,7 +140,13 @@ double cosine_distance_cached(std::span<const float> x,
                               std::span<const float> y, double norm_x,
                               double norm_y) noexcept {
     if (norm_x == 0.0 || norm_y == 0.0) return 1.0;
-    double cosine = dot(x, y) / (norm_x * norm_y);
+    return cosine_distance_from_dot(dot(x, y), norm_x, norm_y);
+}
+
+double cosine_distance_from_dot(double dot_xy, double norm_x,
+                                double norm_y) noexcept {
+    if (norm_x == 0.0 || norm_y == 0.0) return 1.0;
+    double cosine = dot_xy / (norm_x * norm_y);
     // Clamp away floating-point drift so the result stays in [0, 2].
     if (cosine > 1.0) cosine = 1.0;
     if (cosine < -1.0) cosine = -1.0;
@@ -150,15 +177,8 @@ void cosine_distances_to(std::span<const std::vector<float>> rows,
         double row_norm2 = 0.0;
         kernels.dot_and_norm(rows[i].data(), query.data(), rows[i].size(), &d,
                              &row_norm2);
-        const double row_norm = std::sqrt(row_norm2);
-        if (row_norm == 0.0 || query_norm == 0.0) {
-            out[i] = 1.0;
-            continue;
-        }
-        double cosine = d / (row_norm * query_norm);
-        if (cosine > 1.0) cosine = 1.0;
-        if (cosine < -1.0) cosine = -1.0;
-        out[i] = 1.0 - cosine;
+        out[i] = cosine_distance_from_dot(d, std::sqrt(row_norm2),
+                                          query_norm);
     }
 }
 

@@ -11,13 +11,18 @@
 //  * `dot` / `norm2` / `squared_distance` / `cosine_distance` accumulate
 //    strictly left-to-right.  Their exact bit patterns feed model training
 //    and reward arithmetic, so fixed-seed series depend on them -- never
-//    reassociate these.
+//    reassociate these.  "Strict" fixes the order and rounding of each
+//    chain, not the vector width: the pinned table may run several chains
+//    side by side in the lanes of any vector (gemv, gemv_batch and the
+//    pair tiles do), as long as it adds no FMA and no reassociation.
 //  * `dot_blocked` / `squared_distance_blocked` split the chain across
 //    independent partial accumulators (removing the add-latency bottleneck,
 //    ~2-4x faster) and therefore round differently in the last ulps.  They
 //    are reserved for consumers that only *compare* the results -- e.g. the
 //    clustering distance matrix, where labels come from `d <= eps`
-//    thresholds -- and must not leak into training or rewards.
+//    thresholds -- and must not leak into training or rewards.  Their four
+//    partial sums are still pinned per table, so a vector holding them as
+//    four lanes (the pair tiles) gives the same bits.
 
 #include <cstddef>
 #include <span>
@@ -69,6 +74,15 @@ void gemv(std::span<const float> a, std::size_t rows, std::size_t cols,
           std::span<const float> x, std::span<const float> bias,
           std::span<float> out) noexcept;
 
+/// Batch forward: out[s * rows + r] = gemv(a, rows, cols, xs[s], bias)[r]
+/// for every sample s, bit-identical to one gemv per sample.  Samples run
+/// through the kernel table's forward tile in groups of
+/// simd::kTileCols, so `a` is streamed once per group; a group of one
+/// sample uses gemv.
+void gemv_batch(std::span<const float> a, std::size_t rows, std::size_t cols,
+                std::span<const float* const> xs, std::span<const float> bias,
+                std::span<float> out) noexcept;
+
 /// Transposed accumulate: out[j] += sum_r d[r] * a[r * cols + j] (Aᵀd),
 /// the r-sum applied in order per element.  Used for the MLP's
 /// dh = W2ᵀ·dlogits.  Float accumulation, elementwise over j, so the adds
@@ -105,6 +119,12 @@ void add_scaled_diff(float alpha, std::span<const float> x,
                                             std::span<const float> y,
                                             double norm_x,
                                             double norm_y) noexcept;
+
+/// Cosine distance from a precomputed dot(x, y) and norms: the arithmetic
+/// of cosine_distance_cached after its dot, for callers that get the dot
+/// from a pair tile (simd::KernelTable::dot_tile).
+[[nodiscard]] double cosine_distance_from_dot(double dot_xy, double norm_x,
+                                              double norm_y) noexcept;
 
 /// Per-row L2 norms: out[i] = norm2(rows[i]), rows fanned out over
 /// `pool` (the DistanceMatrix norm cache).

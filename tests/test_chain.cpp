@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "chain/chain.hpp"
+#include "chain/storage.hpp"
 
 namespace {
 
@@ -100,6 +103,60 @@ TEST(Chain, SideBranchThenReorg) {
     EXPECT_EQ(chain.reorg_count(), 1U);
     EXPECT_EQ(chain.orphaned_blocks(), 2U);  // a1, a2 abandoned
     EXPECT_TRUE(chain.validate_full_chain());
+}
+
+TEST(Chain, ReorgsAfterSideBranchesKeepHeightsAndExportBytes) {
+    ch::Blockchain chain(7);
+    // Main: g -> a1..a3; side branches g -> b1 -> b2 and a1 -> c2 -> c3
+    // -> c4, whose last block reorganizes; then b3..b5 reorganize back.
+    std::vector<ch::Block> a = {chain.genesis()};
+    for (std::uint64_t k = 1; k <= 3; ++k) {
+        a.push_back(child_of(a.back(), 10 + k));
+        ASSERT_EQ(chain.submit(a.back()), ch::BlockVerdict::kAccepted);
+    }
+    std::vector<ch::Block> b = {chain.genesis()};
+    for (std::uint64_t k = 1; k <= 2; ++k) {
+        b.push_back(child_of(b.back(), 20 + k));
+        ASSERT_EQ(chain.submit(b.back()),
+                  ch::BlockVerdict::kAcceptedSideBranch);
+    }
+    std::vector<ch::Block> c = {chain.genesis(), a[1]};
+    for (std::uint64_t k = 2; k <= 4; ++k) {
+        c.push_back(child_of(c.back(), 30 + k));
+        ASSERT_EQ(chain.submit(c.back()),
+                  k < 4 ? ch::BlockVerdict::kAcceptedSideBranch
+                        : ch::BlockVerdict::kAcceptedReorg);
+    }
+    const auto expect_best = [](const ch::Blockchain& ledger,
+                                const std::vector<ch::Block>& best) {
+        ASSERT_EQ(ledger.height(), best.size());
+        for (std::size_t i = 0; i < best.size(); ++i)
+            EXPECT_EQ(ledger.at(i), best[i]) << i;
+        EXPECT_EQ(ledger.tip(), best.back());
+        EXPECT_TRUE(ledger.validate_full_chain());
+    };
+    expect_best(chain, c);
+    EXPECT_EQ(chain.reorg_count(), 1U);
+    EXPECT_EQ(chain.orphaned_blocks(), 4U);  // a2, a3, b1, b2
+
+    // A copy keeps its own blocks after the original moves on.
+    const ch::Blockchain copy = chain;
+    for (std::uint64_t k = 3; k <= 5; ++k) {
+        b.push_back(child_of(b.back(), 20 + k));
+        ASSERT_EQ(chain.submit(b.back()),
+                  k < 5 ? ch::BlockVerdict::kAcceptedSideBranch
+                        : ch::BlockVerdict::kAcceptedReorg);
+    }
+    expect_best(chain, b);
+    EXPECT_EQ(chain.reorg_count(), 2U);
+    EXPECT_EQ(chain.orphaned_blocks(), 6U);  // a2, a3, a1, c2, c3, c4
+    expect_best(copy, c);
+
+    const ch::Bytes exported = ch::export_chain(chain);
+    const auto imported = ch::import_chain(exported, 7);
+    ASSERT_TRUE(imported.has_value());
+    expect_best(*imported, b);
+    EXPECT_EQ(ch::export_chain(*imported), exported);
 }
 
 TEST(Chain, TieKeepsIncumbent) {

@@ -3,11 +3,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <vector>
+
 #include "cluster/dbscan.hpp"
 #include "cluster/index.hpp"
 #include "cluster/kmeans.hpp"
 #include "support/parallel.hpp"
 #include "support/rng.hpp"
+#include "support/vecmath.hpp"
 
 namespace {
 
@@ -183,6 +188,43 @@ TEST(Distance, ParallelBuildBitIdenticalToSerial) {
         for (std::size_t i = 0; i < a.size(); ++i)
             for (std::size_t j = 0; j < a.size(); ++j)
                 ASSERT_EQ(a.at(i, j), b.at(i, j)) << i << "," << j;
+    }
+}
+
+TEST(Distance, TiledBuildMatchesPerPairKernelsOnAnyPool) {
+    // Model-sized rows (d = 7850), a count that leaves partial tiles, and
+    // zero rows: the tiled matrix must hold exactly the per-pair values,
+    // byte for byte, on a 1-thread and a 4-thread pool.
+    Rng rng(15);
+    std::vector<std::vector<float>> points(23, std::vector<float>(7850));
+    for (std::size_t i = 0; i < points.size(); ++i)
+        if (i % 7 != 3)
+            for (auto& v : points[i]) v = static_cast<float>(rng.normal());
+    fairbfl::support::ThreadPool serial(1);
+    fairbfl::support::ThreadPool parallel(4);
+    for (const auto metric : {cl::Metric::kEuclidean, cl::Metric::kCosine}) {
+        const cl::DistanceMatrix a(metric, points, serial);
+        const cl::DistanceMatrix b(metric, points, parallel);
+        ASSERT_EQ(a.size(), points.size());
+        ASSERT_EQ(b.size(), points.size());
+        for (std::size_t i = 0; i < a.size(); ++i)
+            ASSERT_EQ(0, std::memcmp(a.row(i).data(), b.row(i).data(),
+                                     a.size() * sizeof(double)))
+                << i;
+        for (std::size_t i = 0; i < a.size(); ++i) {
+            for (std::size_t j = i + 1; j < a.size(); ++j) {
+                const double want =
+                    metric == cl::Metric::kCosine
+                        ? cl::distance(metric, points[i], points[j])
+                        : std::sqrt(fairbfl::support::squared_distance_blocked(
+                              points[i], points[j]));
+                const double got = a.at(i, j);
+                ASSERT_EQ(0, std::memcmp(&got, &want, sizeof got))
+                    << i << "," << j;
+                const double mirror = b.at(j, i);
+                ASSERT_EQ(0, std::memcmp(&got, &mirror, sizeof got));
+            }
+        }
     }
 }
 

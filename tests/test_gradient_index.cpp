@@ -14,6 +14,7 @@
 #include "core/experiment.hpp"
 #include "core/fairbfl.hpp"
 #include "incentive/contribution.hpp"
+#include "support/projection.hpp"
 #include "support/rng.hpp"
 
 namespace {
@@ -216,6 +217,17 @@ TEST(RandomProjectionIndex, RecallAtLeastPoint9OnGradientGroups) {
     ASSERT_EQ(approx.sketch_dims(), 16U);
     const cl::ExactIndex exact(cl::Metric::kEuclidean, points);
     EXPECT_GE(recall_at(approx, exact, 7), 0.9);
+}
+
+TEST(RandomProjectionIndex, SharedProjectionIsBuiltOnceWithTheSameBits) {
+    const auto first = fairbfl::support::shared_gaussian_projection(512, 16, 9);
+    const auto again = fairbfl::support::shared_gaussian_projection(512, 16, 9);
+    EXPECT_EQ(first, again);  // one matrix per (d, k, seed)
+    EXPECT_NE(first, fairbfl::support::shared_gaussian_projection(512, 16, 10));
+    const auto fresh = fairbfl::support::gaussian_projection(512, 16, 9);
+    EXPECT_EQ(first->rows, fresh.rows);
+    EXPECT_EQ(first->in_dim, 512U);
+    EXPECT_EQ(first->out_dim, 16U);
 }
 
 TEST(SampledIndex, RecallAtLeastPoint9OnGradientGroups) {

@@ -9,18 +9,25 @@
 // -- with the analytic error model (double accumulation over float
 // products) setting the bound, not a hand-tuned epsilon.  End-to-end, a
 // Table-2 attack scenario must produce detection within 2% of the scalar
-// run when the simd table serves every kernel.
+// run when the simd table serves every kernel.  The tile entries are
+// pinned bit for bit against their own table's per-pair and per-sample
+// kernels, in every table and in both the wide and the looping
+// implementation.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
+#include <span>
 #include <vector>
 
 #include "core/experiment.hpp"
 #include "core/fairbfl.hpp"
 #include "support/rng.hpp"
 #include "support/simd.hpp"
+#include "support/vecmath.hpp"
 
 namespace {
 
@@ -201,6 +208,216 @@ TEST(KernelParity, Avx2WithinAnalyticToleranceOfScalar) {
         EXPECT_NEAR(go[i], wo[i],
                     1e-5 * std::fabs(static_cast<double>(wo[i])) + 1e-6)
             << i;
+}
+
+// --- Tiles: every entry is its table's per-pair (or per-sample) kernel -----
+
+/// Every table a process can dispatch to, with the implementation its
+/// tiles use: the scalar table's fallback loops, the pinned table the
+/// scalar mode serves (the AVX2 exact tiles where available), and the
+/// avx2 table.
+std::vector<const simd::KernelTable*> tables_under_test() {
+    std::vector<const simd::KernelTable*> tables = {
+        &simd::detail::scalar_table(), &simd::detail::pinned_table()};
+    if (simd::detail::avx2_table() != nullptr &&
+        simd::cpu_supports_avx2_fma())
+        tables.push_back(simd::detail::avx2_table());
+    return tables;
+}
+
+bool same_bits(double a, double b) {
+    return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+bool same_bits(float a, float b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+/// n points of dimension d; every third one is all zeros.
+std::vector<std::vector<float>> tile_points(std::size_t n, std::size_t d,
+                                            Rng& rng) {
+    std::vector<std::vector<float>> points;
+    for (std::size_t i = 0; i < n; ++i)
+        points.push_back(i % 3 == 1 ? std::vector<float>(d, 0.0F)
+                                    : random_vector(d, rng));
+    return points;
+}
+
+TEST(Tiles, PinnedTableServesTheScalarModeWithScalarBits) {
+    const simd::KernelTable& pinned = simd::detail::pinned_table();
+    const simd::KernelTable& scalar = simd::detail::scalar_table();
+    EXPECT_STREQ(pinned.name, "scalar");
+    EXPECT_EQ(pinned.dot, scalar.dot);
+    EXPECT_EQ(pinned.squared_distance_blocked, scalar.squared_distance_blocked);
+    EXPECT_EQ(pinned.gemv, scalar.gemv);
+    const bool wide = simd::detail::cpu_supports_avx2();
+    simd::KernelTable probe = scalar;
+    if (wide && simd::detail::install_exact_avx2_tiles(probe)) {
+        EXPECT_EQ(pinned.dot_tile, probe.dot_tile);
+    } else {
+        EXPECT_EQ(pinned.dot_tile, scalar.dot_tile);
+    }
+    simd::set_mode(simd::Mode::kScalar);
+    EXPECT_EQ(&simd::active(), &pinned);
+}
+
+TEST(Tiles, PairTilesMatchPerPairKernelsBitForBit) {
+    Rng rng(23);
+    for (const std::size_t d : {1, 3, 4, 7, 7850}) {
+        for (const std::size_t n : {0, 1, 2, 3, 5, 257}) {
+            const auto points = tile_points(n, d, rng);
+            for (const simd::KernelTable* table : tables_under_test()) {
+                // The triangle in tiles, as DistanceMatrix sweeps it, plus
+                // the diagonal tiles' lower pairs.
+                std::size_t mismatches = 0;
+                for (std::size_t i0 = 0; i0 < n; i0 += simd::kTileRows) {
+                    const std::size_t nx = std::min(simd::kTileRows, n - i0);
+                    const float* xs[simd::kTileRows];
+                    for (std::size_t r = 0; r < nx; ++r)
+                        xs[r] = points[i0 + r].data();
+                    for (std::size_t j0 = i0; j0 < n; j0 += simd::kTileCols) {
+                        const std::size_t ny =
+                            std::min(simd::kTileCols, n - j0);
+                        const float* ys[simd::kTileCols];
+                        for (std::size_t c = 0; c < ny; ++c)
+                            ys[c] = points[j0 + c].data();
+                        double dots[simd::kTileRows * simd::kTileCols];
+                        double dists[simd::kTileRows * simd::kTileCols];
+                        table->dot_tile(xs, nx, ys, ny, d, dots);
+                        table->squared_distance_blocked_tile(xs, nx, ys, ny,
+                                                             d, dists);
+                        for (std::size_t r = 0; r < nx; ++r) {
+                            for (std::size_t c = 0; c < ny; ++c) {
+                                mismatches += !same_bits(
+                                    dots[r * ny + c],
+                                    table->dot(xs[r], ys[c], d));
+                                mismatches += !same_bits(
+                                    dists[r * ny + c],
+                                    table->squared_distance_blocked(
+                                        xs[r], ys[c], d));
+                            }
+                        }
+                    }
+                }
+                EXPECT_EQ(mismatches, 0U) << table->name << " n=" << n
+                                          << " d=" << d;
+            }
+        }
+    }
+}
+
+TEST(Tiles, EveryTileShapeMatchesPerPairKernels) {
+    Rng rng(24);
+    const auto points = tile_points(8, 37, rng);
+    const float* rows[4] = {points[0].data(), points[1].data(),
+                            points[2].data(), points[3].data()};
+    const float* cols[4] = {points[4].data(), points[5].data(),
+                            points[6].data(), points[7].data()};
+    for (const simd::KernelTable* table : tables_under_test()) {
+        for (std::size_t nx = 0; nx <= simd::kTileRows; ++nx) {
+            for (std::size_t ny = 0; ny <= simd::kTileCols; ++ny) {
+                double dots[16];
+                double dists[16];
+                table->dot_tile(rows, nx, cols, ny, 37, dots);
+                table->squared_distance_blocked_tile(rows, nx, cols, ny, 37,
+                                                     dists);
+                for (std::size_t r = 0; r < nx; ++r) {
+                    for (std::size_t c = 0; c < ny; ++c) {
+                        EXPECT_TRUE(same_bits(dots[r * ny + c],
+                                              table->dot(rows[r], cols[c], 37)))
+                            << table->name << " " << nx << "x" << ny;
+                        EXPECT_TRUE(same_bits(
+                            dists[r * ny + c],
+                            table->squared_distance_blocked(rows[r], cols[c],
+                                                            37)))
+                            << table->name << " " << nx << "x" << ny;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Matrix rows whose dot chains cancel: by column j % 4 the entries are
+/// +big, small, -big, small, with big = 1e17 (so big + small rounds to
+/// big in double).  Against features constant over each group of four
+/// columns the big products cancel exactly, so the small sum left after
+/// the float cast depends on the order of every add -- which random
+/// data rarely shows through the cast.
+std::vector<float> cancelling_rows(std::size_t rows, std::size_t cols) {
+    std::vector<float> a(rows * cols);
+    for (std::size_t r = 0; r < rows; ++r) {
+        const float big = 1e17F * static_cast<float>(1 + r % 3);
+        const float small = 1.0F + static_cast<float>(r);
+        for (std::size_t j = 0; j < cols; ++j)
+            a[r * cols + j] = j % 4 == 0   ? big
+                              : j % 4 == 2 ? -big
+                                           : small;
+    }
+    return a;
+}
+
+TEST(Tiles, BatchForwardMatchesPerSampleGemvBitForBit) {
+    Rng rng(25);
+    struct Shape {
+        std::size_t rows;
+        std::size_t cols;
+        bool cancelling;
+    };
+    for (const Shape shape : {Shape{10, 784, false}, Shape{7, 33, false},
+                              Shape{1, 5, false}, Shape{10, 784, true}}) {
+        const auto a = shape.cancelling
+                           ? cancelling_rows(shape.rows, shape.cols)
+                           : random_vector(shape.rows * shape.cols, rng);
+        const auto bias = random_vector(shape.rows, rng);
+        auto samples = tile_points(10, shape.cols, rng);
+        if (shape.cancelling) {
+            for (std::size_t s = 0; s < samples.size(); ++s)
+                for (std::size_t j = 0; j < shape.cols; ++j)
+                    samples[s][j] = 1.0F + static_cast<float>((s + j / 4) % 3);
+        }
+        for (const simd::KernelTable* table : tables_under_test()) {
+            for (const float* b : {bias.data(), static_cast<const float*>(
+                                                    nullptr)}) {
+                std::vector<float> want(samples.size() * shape.rows);
+                for (std::size_t s = 0; s < samples.size(); ++s)
+                    table->gemv(a.data(), shape.rows, shape.cols,
+                                samples[s].data(), b,
+                                want.data() + s * shape.rows);
+                for (std::size_t nx = 1; nx <= simd::kTileCols; ++nx) {
+                    const float* xs[simd::kTileCols];
+                    for (std::size_t s = 0; s < nx; ++s)
+                        xs[s] = samples[s].data();
+                    std::vector<float> got(nx * shape.rows);
+                    table->gemv_batch(a.data(), shape.rows, shape.cols, xs,
+                                      nx, b, got.data());
+                    for (std::size_t k = 0; k < got.size(); ++k)
+                        EXPECT_TRUE(same_bits(got[k], want[k]))
+                            << table->name << " rows=" << shape.rows
+                            << " nx=" << nx << " k=" << k;
+                }
+            }
+        }
+        // The vecmath entry point, batch sizes 1-10, on each mode.
+        for (const simd::Mode mode : {simd::Mode::kScalar, simd::Mode::kSimd}) {
+            const ScopedKernelMode scoped(mode);
+            for (std::size_t batch = 1; batch <= samples.size(); ++batch) {
+                std::vector<const float*> xs;
+                std::vector<float> want(batch * shape.rows);
+                for (std::size_t s = 0; s < batch; ++s) {
+                    xs.push_back(samples[s].data());
+                    fairbfl::support::gemv(
+                        a, shape.rows, shape.cols, samples[s], bias,
+                        std::span<float>(want).subspan(s * shape.rows,
+                                                       shape.rows));
+                }
+                std::vector<float> got(batch * shape.rows);
+                fairbfl::support::gemv_batch(a, shape.rows, shape.cols, xs,
+                                             bias, got);
+                EXPECT_EQ(0, std::memcmp(got.data(), want.data(),
+                                         got.size() * sizeof(float)))
+                    << simd::active_name() << " batch=" << batch;
+            }
+        }
+    }
 }
 
 // The end-to-end gate: a Table-2 attack scenario served entirely by the

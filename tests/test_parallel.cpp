@@ -7,6 +7,10 @@
 #include <stdexcept>
 #include <vector>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 #include "support/parallel.hpp"
 
 namespace {
@@ -20,6 +24,20 @@ TEST(ThreadPool, RunsBodyOnEveryWorker) {
     std::vector<std::atomic<int>> hits(4);
     pool.run([&](unsigned worker) { hits[worker]++; });
     for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ThreadPool, DefaultSizeFollowsTheAffinityMaskAndIsNeverZero) {
+    // Checked without building a pool of that size: the global pool is
+    // the one default-sized pool every process already has.
+    const unsigned threads = fairbfl::support::default_thread_count();
+    EXPECT_GE(threads, 1U);
+#if defined(__linux__)
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    if (sched_getaffinity(0, sizeof(set), &set) == 0)
+        EXPECT_EQ(threads, static_cast<unsigned>(CPU_COUNT(&set)));
+#endif
+    EXPECT_EQ(ThreadPool::global().size(), threads);
 }
 
 TEST(ThreadPool, SingleThreadPoolRunsOnCaller) {
